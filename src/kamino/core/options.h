@@ -177,6 +177,8 @@ struct KaminoOptions {
   bool out_of_core = false;
   /// Parent directory for the out-of-core spill store's private
   /// `mkdtemp` directory. Empty (the default) means $TMPDIR, else /tmp.
+  /// Not stored in model artifacts; `SynthesisRequest::spill_dir`
+  /// overrides it per request.
   std::string spill_dir;
 
   // --- Model registry (src/kamino/service/engine.h) ---

@@ -153,6 +153,7 @@ Result<Table> SamplePipeline(const FitArtifacts& fitted,
     options.out_of_core = true;
     options.progressive_merge = true;
   }
+  if (!spec.spill_dir.empty()) options.spill_dir = spec.spill_dir;
   ApplyObservabilityOptions(options);
   const size_t n = spec.num_rows == 0 ? fitted.input_rows : spec.num_rows;
 

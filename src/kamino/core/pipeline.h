@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "kamino/common/status.h"
@@ -95,6 +96,9 @@ struct SampleSpec {
   /// `KaminoOptions::out_of_core`). Implies `progressive_merge`;
   /// bit-identical rows, bounded resident memory.
   bool out_of_core = false;
+  /// Parent directory for the out-of-core spill store (see
+  /// `KaminoOptions::spill_dir`); empty keeps the fitted options' value.
+  std::string spill_dir;
 
   static constexpr size_t kUnset = static_cast<size_t>(-1);
 };

@@ -185,8 +185,9 @@ double ViolationPenalty(
 }
 
 /// Violation count of `row` (bound as row `self`) against every other row
-/// of the partially synthesized table, for the DCs in `active`. Used by the
-/// constrained MCMC pass, which must look at all rows, not just a prefix.
+/// of the table, for the DCs in `active`, by a pair scan per binary DC.
+/// Only the global shard merge still scores this way; MCMC and the
+/// progressive freeze use the index-backed `IndexedPenalty`.
 double FullTablePenalty(const Row& row, size_t self, const Table& table,
                         const std::vector<size_t>& active,
                         const std::vector<WeightedConstraint>& constraints) {
@@ -198,8 +199,7 @@ double FullTablePenalty(const Row& row, size_t self, const Table& table,
       vio = dc.ViolatesUnary(row) ? 1 : 0;
     } else {
       // Columnar probe: the partner tuple reads straight from the typed
-      // columns instead of materializing table.row(j) per comparison —
-      // this loop dominates MCMC resampling cost.
+      // columns instead of materializing table.row(j) per comparison.
       for (size_t j = 0; j < table.num_rows(); ++j) {
         if (j == self) continue;
         if (dc.ViolatesPairAt(row, table, j)) ++vio;
@@ -213,21 +213,26 @@ double FullTablePenalty(const Row& row, size_t self, const Table& table,
   return penalty;
 }
 
-/// Freeze-repair penalty under progressive merge: index delta against the
-/// merged indices (which hold exactly the frozen prefix) plus a pair scan
-/// restricted to the live shard's rows. Equals `FullTablePenalty` over the
-/// concatenated prefix+shard table — `CountNew` is an exact count for
-/// every index class — without reading a single frozen row; the
-/// live/frozen scan counters let tests assert that. (Every non-unary DC
-/// reachable from the repair has a merged index: they are built for
-/// exactly the DCs the shards indexed, and repair only triggers on index
-/// conflicts.)
-double FrozenRestrictedPenalty(
-    const Row& row, size_t self, const Table& live,
+/// Index-backed penalty of `row`, bound as row `self` of `table`, against
+/// every other row of `table` for the DCs in `active` — plus, when
+/// `frozen` is given, against the rows those indices hold (the frozen
+/// prefix of a progressive freeze, never read as rows). `indices` must hold
+/// exactly `table`'s rows at their current values, so each indexed DC costs
+/// one `CountNewExcept` probe instead of a pass over the table. DCs without
+/// an exact index (`pair_scan`) keep the columnar scan of `table`;
+/// `pair_scans`, when given, counts its partner reads. All counts are exact
+/// integers, so the penalty equals `FullTablePenalty` over the frozen rows
+/// followed by `table` bit for bit. (Every binary DC reachable from a
+/// freeze repair has a merged index: they are built for exactly the DCs
+/// the shards indexed, and repair only triggers on index conflicts.)
+double IndexedPenalty(
+    const Row& row, size_t self, const Table& table,
     const std::vector<size_t>& active,
     const std::vector<WeightedConstraint>& constraints,
-    const std::vector<std::unique_ptr<ViolationIndex>>& merged,
-    SynthesisTelemetry* telemetry) {
+    const std::vector<char>& pair_scan,
+    const std::vector<std::unique_ptr<ViolationIndex>>& indices,
+    const std::vector<std::unique_ptr<ViolationIndex>>* frozen,
+    int64_t* pair_scans) {
   double penalty = 0.0;
   for (size_t dc_index : active) {
     const DenialConstraint& dc = constraints[dc_index].dc;
@@ -235,14 +240,19 @@ double FrozenRestrictedPenalty(
     if (dc.is_unary()) {
       vio = dc.ViolatesUnary(row) ? 1 : 0;
     } else {
-      if (merged[dc_index] != nullptr) vio = merged[dc_index]->CountNew(row);
-      for (size_t j = 0; j < live.num_rows(); ++j) {
-        if (j == self) continue;
-        if (dc.ViolatesPairAt(row, live, j)) ++vio;
+      if (frozen != nullptr && (*frozen)[dc_index] != nullptr) {
+        vio = (*frozen)[dc_index]->CountNew(row);
       }
-      if (live.num_rows() > 0) {
-        telemetry->merge_penalty_live_row_scans +=
-            static_cast<int64_t>(live.num_rows() - 1);
+      if (pair_scan[dc_index]) {
+        for (size_t j = 0; j < table.num_rows(); ++j) {
+          if (j == self) continue;
+          if (dc.ViolatesPairAt(row, table, j)) ++vio;
+        }
+        if (pair_scans != nullptr && table.num_rows() > 0) {
+          *pair_scans += static_cast<int64_t>(table.num_rows() - 1);
+        }
+      } else {
+        vio += CountNewExcept(dc, *indices[dc_index], row, table, self);
       }
     }
     if (vio > 0) {
@@ -323,6 +333,7 @@ bool FdFastPathApplies(const ModelUnit& unit, const std::vector<size_t>& active,
 struct ActivationMap {
   std::vector<std::vector<size_t>> unit_active;  // unit -> active DC indices
   std::vector<size_t> dc_unit;                   // DC -> unit (or SIZE_MAX)
+  std::vector<char> pair_scan;                   // DC -> NeedsPairScan
 };
 
 ActivationMap BuildActivationMap(
@@ -333,6 +344,10 @@ ActivationMap BuildActivationMap(
       ActivationPositions(model.sequence(), constraints);
   map.unit_active.resize(model.units().size());
   map.dc_unit.assign(constraints.size(), SIZE_MAX);
+  map.pair_scan.resize(constraints.size());
+  for (size_t l = 0; l < constraints.size(); ++l) {
+    map.pair_scan[l] = NeedsPairScan(constraints[l].dc) ? 1 : 0;
+  }
   for (size_t u = 0; u < model.units().size(); ++u) {
     const ModelUnit& unit = model.units()[u];
     for (size_t p = unit.start_position;
@@ -348,7 +363,8 @@ ActivationMap BuildActivationMap(
 
 /// The per-shard sampling loop: the sequential Algorithm 3 body over
 /// `n` rows, writing into `out` (resized here) and leaving the final
-/// per-DC violation indices in `indices` for the shard merge. With
+/// per-DC violation indices in `indices` for the shard merge — current
+/// with `out`'s rows, MCMC re-samples included. With
 /// `allow_nested_parallel` the candidate scoring and MCMC batches may fan
 /// out onto the pool (the single-shard configuration); shard-parallel
 /// callers pass false so each shard stays a serial unit of work and the
@@ -570,6 +586,13 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     // by thread or schedule. In shard-parallel mode the batch runs inline
     // (the shard itself is the unit of parallelism) — same result, since
     // randomness is keyed by resample index either way.
+    //
+    // Re-samples are scored through this unit's indices, which hold all n
+    // rows. Of the indices built so far only these can mention the unit's
+    // attributes (earlier units' DCs complete before it), so they are the
+    // only ones a re-sample can make stale. Probes within a batch are
+    // read-only; each accepted row is swapped into the indices (RemoveRow
+    // old, AddRow new) as the batch is applied.
     if (mcmc_resamples > 0) {
       const runtime::RngStream streams(rng->NextSeed());
       struct Resample {
@@ -604,8 +627,10 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
               ApplyCandidateToRow(unit, candidates[c], &scratch);
               double penalty = 0.0;
               if (use_dc_factor) {
-                penalty =
-                    FullTablePenalty(scratch, i, out, active, constraints);
+                penalty = IndexedPenalty(scratch, i, out, active, constraints,
+                                         activation.pair_scan, indices,
+                                         /*frozen=*/nullptr,
+                                         /*pair_scans=*/nullptr);
               }
               log_scores[c] =
                   std::log(candidates[c].prob + 1e-300) - penalty;
@@ -625,8 +650,18 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
         }
         for (Resample& r : resamples) {
           if (!r.accepted) continue;
+          if (use_dc_factor) {
+            const Row old_row = out.row(r.row);
+            for (size_t dc_index : active) {
+              indices[dc_index]->RemoveRow(old_row);
+            }
+          }
           for (size_t a = 0; a < unit.attrs.size(); ++a) {
             out.set(r.row, unit.attrs[a], r.values[a]);
+          }
+          if (use_dc_factor) {
+            const Row new_row = out.row(r.row);
+            for (size_t dc_index : active) indices[dc_index]->AddRow(new_row);
           }
           ++telemetry->mcmc_resamples;
         }
@@ -1529,6 +1564,15 @@ Result<Table> ProgressiveShardSynthesis(
         shards[s].telemetry.parallel_score_dispatches;
     telemetry->mcmc_batches += shards[s].telemetry.mcmc_batches;
 
+    // The shard's own indices are the live-slice indices of the repair
+    // below: they must hold exactly the live rows.
+    std::vector<std::unique_ptr<ViolationIndex>>& live_indices =
+        shards[s].indices;
+    for (const auto& index : live_indices) {
+      KAMINO_CHECK(index == nullptr || index->size() == live.num_rows())
+          << "shard index out of step with its rows";
+    }
+
     // Conflict detection against the frozen prefix.
     std::map<size_t, std::vector<size_t>> offenders;
     int64_t freeze_cross = 0;
@@ -1551,10 +1595,11 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->merge_conflict_rows += static_cast<int64_t>(offenders.size());
 
     // Bounded greedy repair, restricted to shard s's rows. Candidates are
-    // scored by the frozen-restricted penalty kernel: index delta against
-    // the merged indices (exactly the frozen prefix) plus a pair scan of
-    // the live rows only — equal to the full-table penalty over [0, end)
-    // without touching a frozen row.
+    // scored by `IndexedPenalty`: index delta against the merged indices
+    // (exactly the frozen prefix) plus the live-slice indices minus the
+    // row's own slot — equal to the full-table penalty over [0, end)
+    // without touching a frozen row or scanning a live one. Each committed
+    // repair is swapped into the live-slice indices.
     if (!offenders.empty()) {
       size_t budget = options.adaptive_merge_budget
                           ? 16 + 2 * offenders.size()
@@ -1615,16 +1660,18 @@ Result<Table> ProgressiveShardSynthesis(
           std::vector<Candidate> candidates = GenerateCandidates(
               unit, schema, scratch, options, extra_values, &task_rng);
           if (candidates.empty()) continue;
-          const double penalty_before = FrozenRestrictedPenalty(
-              live.row(local), local, live, active, constraints, merged,
-              telemetry);
+          int64_t* const scans = &telemetry->merge_penalty_live_row_scans;
+          const double penalty_before = IndexedPenalty(
+              live.row(local), local, live, active, constraints,
+              activation.pair_scan, live_indices, &merged, scans);
           size_t pick = 0;
           double best = -std::numeric_limits<double>::infinity();
           double best_penalty = penalty_before;
           for (size_t c = 0; c < candidates.size(); ++c) {
             ApplyCandidateToRow(unit, candidates[c], &scratch);
-            const double penalty = FrozenRestrictedPenalty(
-                scratch, local, live, active, constraints, merged, telemetry);
+            const double penalty = IndexedPenalty(
+                scratch, local, live, active, constraints,
+                activation.pair_scan, live_indices, &merged, scans);
             const double score =
                 std::log(candidates[c].prob + 1e-300) - penalty;
             if (score > best) {
@@ -1633,8 +1680,17 @@ Result<Table> ProgressiveShardSynthesis(
               pick = c;
             }
           }
+          // The repaired unit's attributes may feed DCs that activate at
+          // later units, so every live-slice index takes the swap.
+          const Row old_row = live.row(local);
           for (size_t a = 0; a < unit.attrs.size(); ++a) {
             live.set(local, unit.attrs[a], candidates[pick].values[a]);
+          }
+          const Row new_row = live.row(local);
+          for (const auto& index : live_indices) {
+            if (index == nullptr) continue;
+            index->RemoveRow(old_row);
+            index->AddRow(new_row);
           }
           ++telemetry->merge_resamples;
           --budget;
@@ -1692,9 +1748,10 @@ Result<Table> ProgressiveShardSynthesis(
     }
 
     // Freeze: index the shard's *final* rows into the running merged
-    // indices (the stale pre-repair shard index is discarded). For
-    // alignment DCs, fold the new intra-prefix pairs into the running
-    // count first — CountNew before AddRow sees each pair exactly once.
+    // indices (the shard's own indices, stale after the exact passes
+    // above, are discarded). For alignment DCs, fold the new intra-prefix
+    // pairs into the running count first — CountNew before AddRow sees
+    // each pair exactly once.
     for (size_t l = 0; l < constraints.size(); ++l) {
       if (merged[l] == nullptr) continue;
       for (size_t r = 0; r < live.num_rows(); ++r) {
@@ -1704,6 +1761,7 @@ Result<Table> ProgressiveShardSynthesis(
         merged[l]->AddRow(live.row(r));
       }
     }
+    live_indices.clear();
     // Absorb the now-final slice into the persistent frozen lookups — the
     // last read of these rows for reconciliation purposes, ever.
     fd_lookups->Absorb(live, begin);

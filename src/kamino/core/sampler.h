@@ -135,9 +135,11 @@ struct SynthesisTelemetry {
   /// freezes; equals the row count on a completed progressive run.
   int64_t merge_frozen_rows = 0;
   /// Partner rows pair-scanned by the freeze repair's penalty kernel in
-  /// *live* (not yet frozen) tables. Under progressive merge the kernel
-  /// scores candidates as index-delta (`CountNew` against the merged
-  /// indices) + live pair scan, so...
+  /// *live* (not yet frozen) tables. The kernel scores candidates as
+  /// index deltas against the merged (frozen-prefix) and live-slice
+  /// indices; only DCs without an exact index (`NeedsPairScan`, i.e.
+  /// `kGeneral` shapes) still scan the live rows, so this reads zero on
+  /// all-indexable constraint sets — and...
   int64_t merge_penalty_live_row_scans = 0;
   /// ...this stays zero: frozen rows are never re-scanned. Asserted by
   /// tests; a nonzero value means the constant-memory contract broke.

@@ -285,6 +285,20 @@ class FdViolationIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    auto it = groups_.find(KeyOf(row));
+    KAMINO_CHECK(it != groups_.end()) << "RemoveRow of a row not in the index";
+    GroupStats& g = it->second;
+    auto same = g.rhs_counts.find(row[rhs_]);
+    KAMINO_CHECK(same != g.rhs_counts.end())
+        << "RemoveRow of a row not in the index";
+    // Emptied entries are erased, not left at zero: FdForcedValue and the
+    // Merge/CountAgainst sweeps then see exactly the surviving rows.
+    if (--same->second == 0) g.rhs_counts.erase(same);
+    if (--g.size == 0) groups_.erase(it);
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const FdViolationIndex*>(&other);
     KAMINO_CHECK(peer != nullptr) << "Merge across index types";
@@ -369,6 +383,12 @@ class UnaryViolationIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    (void)row;
+    KAMINO_CHECK(num_rows_ > 0) << "RemoveRow on an empty index";
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     KAMINO_CHECK(dynamic_cast<const UnaryViolationIndex*>(&other) != nullptr)
         << "Merge across index types";
@@ -403,6 +423,18 @@ class NaiveViolationIndex : public ViolationIndex {
   }
 
   void AddRow(const Row& row) override { rows_.push_back(row); }
+
+  void RemoveRow(const Row& row) override {
+    const std::vector<size_t>& attrs = dc_.attributes();
+    auto it = std::find_if(rows_.begin(), rows_.end(), [&](const Row& old) {
+      for (size_t a : attrs) {
+        if (!(old[a] == row[a])) return false;
+      }
+      return true;
+    });
+    KAMINO_CHECK(it != rows_.end()) << "RemoveRow of a row not in the index";
+    rows_.erase(it);
+  }
 
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const NaiveViolationIndex*>(&other);
@@ -676,6 +708,16 @@ class OrderViolationIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    auto it = groups_.find(KeyOf(row));
+    KAMINO_CHECK(it != groups_.end()) << "RemoveRow of a row not in the index";
+    KAMINO_CHECK(it->second.Erase(spec_.ContextKey(row[spec_.x_attr]),
+                                  spec_.OrientedKey(row[spec_.y_attr])))
+        << "RemoveRow of a row not in the index";
+    if (it->second.size == 0) groups_.erase(it);
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const OrderViolationIndex*>(&other);
     KAMINO_CHECK(peer != nullptr) << "Merge across index types";
@@ -745,6 +787,33 @@ class OrderViolationIndex : public ViolationIndex {
       b.ys_sorted.insert(
           std::upper_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y), y);
       if (b.xs.size() > BlockCap(size)) Split(idx);
+    }
+
+    /// Erases one (x, y) point; false when the group holds none. Equal x
+    /// can span several blocks after splits, so every block whose x-range
+    /// holds x is searched. A block emptied by the erase is dropped, which
+    /// keeps every remaining block non-empty for `CountNew`.
+    bool Erase(double x, double y) {
+      auto it = std::lower_bound(
+          blocks.begin(), blocks.end(), x,
+          [](const Block& b, double v) { return b.xs.back() < v; });
+      for (; it != blocks.end() && it->xs.front() <= x; ++it) {
+        Block& b = *it;
+        const auto lo = std::lower_bound(b.xs.begin(), b.xs.end(), x);
+        const auto hi = std::upper_bound(lo, b.xs.end(), x);
+        for (auto k = lo; k != hi; ++k) {
+          const size_t pos = static_cast<size_t>(k - b.xs.begin());
+          if (!(b.ys[pos] == y)) continue;
+          b.xs.erase(k);
+          b.ys.erase(b.ys.begin() + pos);
+          b.ys_sorted.erase(
+              std::lower_bound(b.ys_sorted.begin(), b.ys_sorted.end(), y));
+          if (b.xs.empty()) blocks.erase(it);
+          --size;
+          return true;
+        }
+      }
+      return false;
     }
 
     void Split(size_t idx) {
@@ -968,6 +1037,13 @@ class ScopeCountIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    auto it = counts_.find(KeyOf(row));
+    KAMINO_CHECK(it != counts_.end()) << "RemoveRow of a row not in the index";
+    if (--it->second == 0) counts_.erase(it);
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     const auto* peer = dynamic_cast<const ScopeCountIndex*>(&other);
     KAMINO_CHECK(peer != nullptr) << "Merge across index types";
@@ -1011,6 +1087,12 @@ class NeverViolationIndex : public ViolationIndex {
     ++num_rows_;
   }
 
+  void RemoveRow(const Row& row) override {
+    (void)row;
+    KAMINO_CHECK(num_rows_ > 0) << "RemoveRow on an empty index";
+    --num_rows_;
+  }
+
   void Merge(const ViolationIndex& other) override {
     KAMINO_CHECK(dynamic_cast<const NeverViolationIndex*>(&other) != nullptr)
         << "Merge across index types";
@@ -1033,7 +1115,7 @@ class NeverViolationIndex : public ViolationIndex {
 /// `CountNew`/`CountAgainst` sum the blocks' counts with their signs —
 /// individual terms may over-count, but the signed total is exactly the
 /// unordered violating-pair count, bit-identical to the naive probe —
-/// and `AddRow`/`Merge` feed every block.
+/// and `AddRow`/`RemoveRow`/`Merge` feed every block.
 class CompositeViolationIndex : public ViolationIndex {
  public:
   explicit CompositeViolationIndex(const PredicateDecomposition& d) {
@@ -1060,6 +1142,11 @@ class CompositeViolationIndex : public ViolationIndex {
   void AddRow(const Row& row) override {
     for (auto& block : blocks_) block->AddRow(row);
     ++num_rows_;
+  }
+
+  void RemoveRow(const Row& row) override {
+    for (auto& block : blocks_) block->RemoveRow(row);
+    --num_rows_;
   }
 
   void Merge(const ViolationIndex& other) override {
@@ -1425,6 +1512,19 @@ std::unique_ptr<ViolationIndex> MakeNaiveViolationIndex(
     const DenialConstraint& dc) {
   KAMINO_CHECK(!dc.is_unary()) << "naive index is for binary DCs";
   return std::make_unique<NaiveViolationIndex>(dc);
+}
+
+bool NeedsPairScan(const DenialConstraint& dc) {
+  if (dc.is_unary()) return false;
+  std::vector<size_t> lhs;
+  size_t rhs = 0;
+  if (dc.AsFd(&lhs, &rhs) || dc.AsGroupedOrderSpec().has_value()) return false;
+  return !dc.Decompose().subquadratic();
+}
+
+int64_t CountNewExcept(const DenialConstraint& dc, const ViolationIndex& index,
+                       const Row& probe, const Table& table, size_t self) {
+  return index.CountNew(probe) - (dc.ViolatesPairAt(probe, table, self) ? 1 : 0);
 }
 
 }  // namespace kamino

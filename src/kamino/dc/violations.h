@@ -84,6 +84,14 @@ std::vector<std::vector<double>> BuildViolationMatrix(
 /// `CountAgainst` to measure the cross-shard violations the per-shard
 /// sampling could not see. Both operations require the two indices to be
 /// over the same DC (and therefore the same implementation type).
+///
+/// Indices are also *editable*: `RemoveRow` takes back one committed row,
+/// so a row rewritten in place (an MCMC re-sample, a freeze repair) is
+/// kept current with `RemoveRow(old); AddRow(new)`. After any sequence of
+/// adds and removes every query answers exactly as an index built from
+/// the surviving rows alone would. That is what lets the sampler score a
+/// row against "every other row" with `CountNewExcept` instead of a pair
+/// scan.
 class ViolationIndex {
  public:
   virtual ~ViolationIndex() = default;
@@ -94,6 +102,14 @@ class ViolationIndex {
 
   /// Commits `row` to the index.
   virtual void AddRow(const Row& row) = 0;
+
+  /// Takes back one committed row equal to `row` on the DC's attributes.
+  /// Removing a row the index does not hold is a `KAMINO_CHECK` failure,
+  /// never a silent no-op (unary and never-firing indices keep only a row
+  /// count, so for them only an empty index is detectably wrong). Rows
+  /// holding NaN in a grouped or ordered attribute cannot be removed:
+  /// NaN equals nothing.
+  virtual void RemoveRow(const Row& row) = 0;
 
   /// Folds `other`'s committed rows into this index, equivalent to
   /// re-adding them through `AddRow` one by one (but O(groups) for the FD
@@ -127,6 +143,22 @@ std::unique_ptr<ViolationIndex> MakeViolationIndex(const DenialConstraint& dc);
 /// indices against it, mirroring CountViolationsNaive).
 std::unique_ptr<ViolationIndex> MakeNaiveViolationIndex(
     const DenialConstraint& dc);
+
+/// True for binary DCs no specialized index covers: `MakeViolationIndex`
+/// falls back to the naive prefix scan for them (`kGeneral` shapes outside
+/// the FD and grouped-order matchers). Callers that can read a columnar
+/// table keep a `ViolatesPairAt` scan for these instead of probing the
+/// naive index's boxed row copies.
+bool NeedsPairScan(const DenialConstraint& dc);
+
+/// Violations of the binary DC `dc` between `probe` and every row of
+/// `table` except row `self` (the probe's own slot), given an `index` that
+/// holds exactly the rows of `table` at their current values. The index
+/// counts the probe against row `self` too, so that one pair is evaluated
+/// directly and subtracted: O(index probe) instead of the O(n) scan
+/// `CountNewViolations` would pay, and exact for every index class.
+int64_t CountNewExcept(const DenialConstraint& dc, const ViolationIndex& index,
+                       const Row& probe, const Table& table, size_t self);
 
 }  // namespace kamino
 

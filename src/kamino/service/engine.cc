@@ -28,6 +28,7 @@ SampleSpec SpecOf(const SynthesisRequest& request) {
   spec.compress_chunks = request.compress_chunks;
   spec.progressive_merge = request.progressive_merge;
   spec.out_of_core = request.out_of_core;
+  spec.spill_dir = request.spill_dir;
   return spec;
 }
 

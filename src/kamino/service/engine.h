@@ -182,6 +182,12 @@ struct SynthesisRequest {
   /// with `collect_table = false` + a sink for the constant-memory
   /// delivery path: rows then exist only as chunks and spill blocks.
   bool out_of_core = false;
+  /// Parent directory for the out-of-core spill store's private temp
+  /// directory; empty keeps the fitted options' `spill_dir`. Models
+  /// restored from an artifact carry no spill directory (it is a property
+  /// of the serving host, not of the model), so this is how a request
+  /// against a loaded model keeps its spill files off $TMPDIR.
+  std::string spill_dir;
   /// When false, the result's `synthetic` table is left empty — rows are
   /// observable through `sink` only. Saves the final copy for consumers
   /// that forward chunks elsewhere anyway (and under `out_of_core` skips

@@ -244,10 +244,11 @@ TEST(OutOfCoreTest, HardDcsExactAfterEveryFreezeWhileSpilling) {
 
 TEST(OutOfCoreTest, FrozenRowsNeverRescannedAndResidencyBounded) {
   // The constant-memory contract, asserted by counters: the repair
-  // penalty kernel pair-scans live rows only (frozen partners are index
-  // deltas), every row ends up in the spill store, and the resident
-  // high-water mark stays within 2 shard widths while the in-memory run
-  // grows to n.
+  // penalty kernel never scans a frozen row (frozen partners are index
+  // deltas) and, with every DC of the tax instance indexable, never scans
+  // a live row either (live partners are live-slice index deltas); every
+  // row ends up in the spill store, and the resident high-water mark
+  // stays within 2 shard widths while the in-memory run grows to n.
   const BenchmarkDataset ds = MakeTaxLike(100, 13);
   const size_t n = 120;
   const size_t num_shards = 4;
@@ -259,7 +260,7 @@ TEST(OutOfCoreTest, FrozenRowsNeverRescannedAndResidencyBounded) {
     const RunOutput run = RunMerge(ds, n, config);
     EXPECT_EQ(run.telemetry.merge_penalty_frozen_row_scans, 0);
     EXPECT_GT(run.telemetry.merge_resamples, 0);
-    EXPECT_GT(run.telemetry.merge_penalty_live_row_scans, 0);
+    EXPECT_EQ(run.telemetry.merge_penalty_live_row_scans, 0);
     EXPECT_EQ(run.telemetry.spill_blocks, static_cast<int64_t>(num_shards));
     EXPECT_EQ(run.telemetry.spilled_rows, static_cast<int64_t>(n));
     EXPECT_GT(run.telemetry.spill_bytes, 0);
@@ -275,6 +276,22 @@ TEST(OutOfCoreTest, FrozenRowsNeverRescannedAndResidencyBounded) {
   const RunOutput mem = RunMerge(ds, n, in_memory);
   EXPECT_EQ(mem.telemetry.peak_resident_rows, static_cast<int64_t>(n));
   EXPECT_EQ(mem.telemetry.spill_blocks, 0);
+}
+
+TEST(OutOfCoreTest, GeneralDcRepairScansLiveRowsOnly) {
+  // A kGeneral DC has no exact index, so the freeze repair keeps its
+  // columnar pair scan — over the live slice only; frozen rows stay
+  // index deltas. BR2000's third DC (three order residuals) is one.
+  const BenchmarkDataset ds = MakeBr2000Like(100, 13);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  ASSERT_TRUE(NeedsPairScan(constraints[2].dc));
+  RunConfig config;
+  config.out_of_core = true;
+  const RunOutput run = RunMerge(ds, 120, config);
+  EXPECT_GT(run.telemetry.merge_resamples, 0);
+  EXPECT_GT(run.telemetry.merge_penalty_live_row_scans, 0);
+  EXPECT_EQ(run.telemetry.merge_penalty_frozen_row_scans, 0);
 }
 
 TEST(OutOfCoreTest, CompressedChunksPassThroughTheSpilledPayload) {

@@ -8,6 +8,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include "kamino/common/logging.h"
@@ -401,6 +402,60 @@ TEST(ShardedSamplerTest, ShardCountIsClampedToRows) {
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result.value().synthetic.num_rows(), 12u);
   EXPECT_EQ(result.value().telemetry.num_shards, 12u);
+}
+
+TEST(ShardedSamplerTest, MergeSeesPostMcmcShardRows) {
+  // The shard indices handed to the merge must track MCMC re-samples.
+  // With soft DCs only (no FD canonicalization or rank alignment) and a
+  // zero repair budget, no merge step rewrites a row, so the cross-shard
+  // violations the merge reports must equal the cross pairs recounted
+  // from the delivered shard slices — for the global and the progressive
+  // merge alike. Indices left at pre-MCMC values report different counts.
+  ScopedNumThreads threads(1);
+  const size_t n = 160;
+  const size_t num_shards = 4;
+  BenchmarkDataset ds = MakeBr2000Like(n, 5);
+  auto constraints =
+      ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema()).TakeValue();
+  auto sequence = SequenceSchema(ds.table.schema(), constraints);
+  for (const bool progressive : {false, true}) {
+    KaminoOptions options;
+    options.non_private = true;
+    options.iterations = 8;
+    options.mcmc_resamples = n;
+    options.seed = 41;
+    options.num_shards = num_shards;
+    options.progressive_merge = progressive;
+    options.adaptive_merge_budget = false;
+    options.shard_merge_resamples = 0;
+    Rng rng(41);
+    auto model =
+        ProbabilisticDataModel::Train(ds.table, sequence, options, &rng)
+            .TakeValue();
+    Rng srng(19);
+    SynthesisTelemetry telemetry;
+    Table out = Synthesize(model, constraints, n, options, &srng, &telemetry)
+                    .TakeValue();
+    ASSERT_GT(telemetry.mcmc_resamples, 0);
+    ASSERT_EQ(telemetry.merge_resamples, 0);
+    const size_t width = n / num_shards;
+    int64_t expected = 0;
+    for (const WeightedConstraint& wc : constraints) {
+      ASSERT_FALSE(wc.hard);
+      std::unique_ptr<ViolationIndex> prefix = MakeNaiveViolationIndex(wc.dc);
+      for (size_t s = 0; s < num_shards; ++s) {
+        std::unique_ptr<ViolationIndex> shard = MakeNaiveViolationIndex(wc.dc);
+        for (size_t r = s * width; r < (s + 1) * width; ++r) {
+          shard->AddRow(out.row(r));
+        }
+        expected += prefix->CountAgainst(*shard);
+        prefix->Merge(*shard);
+      }
+    }
+    EXPECT_GT(expected, 0);
+    EXPECT_EQ(telemetry.merge_cross_violations, expected)
+        << "progressive=" << progressive;
+  }
 }
 
 }  // namespace

@@ -6,13 +6,16 @@
 // core/kamino.h promises (two concurrent jobs at different thread budgets
 // both reproduce their single-run outputs).
 
+#include <dirent.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -220,6 +223,81 @@ TEST(EngineSessionTest, SynchronousStreamingDeliversOrderedChunks) {
     expected_offset += chunks[s].rows.num_rows();
   }
   EXPECT_EQ(expected_offset, out.num_rows());
+}
+
+/// Entries in `dir` other than "." / "..".
+size_t DirEntryCount(const std::string& dir) {
+  DIR* d = ::opendir(dir.c_str());
+  if (d == nullptr) return 0;
+  size_t count = 0;
+  while (struct dirent* e = ::readdir(d)) {
+    const std::string name = e->d_name;
+    if (name != "." && name != "..") ++count;
+  }
+  ::closedir(d);
+  return count;
+}
+
+/// Records how many entries a directory holds at each delivered chunk.
+class DirWatchingSink : public RowSink {
+ public:
+  explicit DirWatchingSink(std::string dir) : dir_(std::move(dir)) {}
+
+  Status OnChunk(const TableChunk& chunk) override {
+    (void)chunk;
+    entries_.push_back(DirEntryCount(dir_));
+    return Status::OK();
+  }
+
+  const std::vector<size_t>& entries() const { return entries_; }
+
+ private:
+  std::string dir_;
+  std::vector<size_t> entries_;
+};
+
+TEST(EngineSessionTest, RequestSpillDirReachesADeserializedModel) {
+  // The artifact does not carry `spill_dir` (it names a directory of the
+  // host that fitted, not a property of the model), so an out-of-core
+  // request against a loaded model states where to spill. The spill
+  // store's private directory must appear under that parent while chunks
+  // are delivered and be gone once the job returns.
+  char parent_template[] = "/tmp/kamino-request-spill-XXXXXX";
+  char* parent = ::mkdtemp(parent_template);
+  ASSERT_NE(parent, nullptr);
+  const std::string parent_dir(parent);
+  {
+    ScopedNumThreads threads(1);
+    BenchmarkDataset ds = MakeAdultLike(100, 13);
+    auto constraints =
+        ParseConstraints(ds.dc_specs, ds.hardness, ds.table.schema())
+            .TakeValue();
+    KaminoEngine engine;
+    auto fitted = engine.Fit(ds.table, constraints, TestConfig(77));
+    ASSERT_TRUE(fitted.ok()) << fitted.status();
+    auto bytes = fitted.value().Serialize();
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto loaded = FittedModel::Deserialize(bytes.value());
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+
+    DirWatchingSink sink(parent_dir);
+    SynthesisRequest request;
+    request.num_rows = 120;
+    request.num_shards = 4;
+    request.out_of_core = true;
+    request.spill_dir = parent_dir;
+    request.sink = &sink;
+    auto result = engine.Synthesize(loaded.value(), request);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(result.value().telemetry.spill_blocks, 4);
+    ASSERT_EQ(sink.entries().size(), 4u);
+    for (size_t entries : sink.entries()) {
+      EXPECT_EQ(entries, 1u) << "no spill directory under " << parent_dir;
+    }
+  }
+  EXPECT_EQ(DirEntryCount(parent_dir), 0u)
+      << "spill files left under " << parent_dir;
+  ::rmdir(parent_dir.c_str());
 }
 
 TEST(ConfigValidateTest, RejectsNonsensicalKnobs) {
