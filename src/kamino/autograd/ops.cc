@@ -32,6 +32,8 @@ constexpr double kSigmaFloor = 1e-3;
 
 }  // namespace
 
+double GaussianSigma(double raw_std) { return Softplus(raw_std) + kSigmaFloor; }
+
 Var MakeLeaf(const Tensor& value) {
   auto node = std::make_shared<Node>();
   node->value = value;
@@ -293,7 +295,7 @@ Var GaussianNll(const Var& mean_and_raw_std, double target) {
       << "GaussianNll expects a 1 x 2 (mu, s) vector";
   const double mu = mean_and_raw_std->value[0];
   const double s = mean_and_raw_std->value[1];
-  const double sigma = Softplus(s) + kSigmaFloor;
+  const double sigma = GaussianSigma(s);
   const double z = (target - mu) / sigma;
   const double loss = 0.5 * z * z + std::log(sigma);
   return NewNode(

@@ -79,8 +79,13 @@ Var Mean(const Var& a);
 /// true class. Returns the scalar loss logsumexp(logits) - logits[target].
 Var CrossEntropyWithLogits(const Var& logits, size_t target);
 
+/// The Gaussian head's standard deviation for raw output `s`:
+/// softplus(s) + 1e-3. The one formula shared by training (`GaussianNll`)
+/// and inference, so a prediction uses exactly the sigma it was fit with.
+double GaussianSigma(double raw_std);
+
 /// Fused Gaussian negative log-likelihood head: `mean_and_raw_std` is a
-/// 1 x 2 vector (mu, s) where sigma = softplus(s) + 1e-3. Returns the
+/// 1 x 2 vector (mu, s) where sigma = GaussianSigma(s). Returns the
 /// scalar 0.5*((y-mu)/sigma)^2 + log(sigma).
 Var GaussianNll(const Var& mean_and_raw_std, double target);
 

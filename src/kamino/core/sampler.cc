@@ -31,6 +31,11 @@ namespace {
 /// scores against — are identical at any `num_threads`.
 constexpr size_t kMcmcBatchRows = 32;
 
+/// Rows per inference-kernel call in the sampling row loop. Predictions
+/// are per row, so the block size only bounds the prediction buffer; it
+/// never changes the output.
+constexpr size_t kForwardBlockRows = 256;
+
 /// Minimum candidates x committed-prefix product before candidate scoring
 /// is dispatched to the pool; below it the loop runs inline. Affects only
 /// scheduling: scores are RNG-free and land in per-candidate slots, so the
@@ -78,51 +83,63 @@ std::vector<double> LogScoresToWeights(const std::vector<double>& log_scores) {
   return weights;
 }
 
+/// The value lists of a unit's joint categorical domain, by joint index:
+/// the candidate values of a categorical unit, decoded once per run.
+/// Empty for numeric units.
+std::vector<std::vector<Value>> DecodeJointDomain(const ModelUnit& unit) {
+  std::vector<std::vector<Value>> domain;
+  auto add = [&domain](const std::vector<int32_t>& codes) {
+    std::vector<Value> values;
+    values.reserve(codes.size());
+    for (int32_t v : codes) values.push_back(Value::Categorical(v));
+    domain.push_back(std::move(values));
+  };
+  if (unit.kind == ModelUnit::Kind::kHistogram) {
+    if (unit.quantizer.has_value()) return domain;
+    domain.reserve(unit.distribution.size());
+    for (size_t idx = 0; idx < unit.distribution.size(); ++idx) {
+      add(unit.DecodeJointIndex(idx));
+    }
+  } else if (unit.model->target_is_categorical()) {
+    domain.reserve(unit.model->joint_domain_size());
+    for (size_t idx = 0; idx < unit.model->joint_domain_size(); ++idx) {
+      add(unit.model->DecodeJointIndex(idx));
+    }
+  }
+  return domain;
+}
+
 /// Enumerates the candidate set D(S[j]) with conditional probabilities
 /// (Algorithm 3 line 6, plus the continuous-domain candidate sampling).
-std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
-                                          const Schema& schema, const Row& row,
-                                          const KaminoOptions& options,
-                                          const std::vector<double>& prior_values,
-                                          Rng* rng) {
+/// A discriminative unit's p(v|c) comes precomputed in `prediction`, one
+/// row of `DiscriminativeModel::PredictRows` output (null for histogram
+/// units); `joint_values` is the unit's `DecodeJointDomain`.
+std::vector<Candidate> GenerateCandidates(
+    const ModelUnit& unit, const Schema& schema,
+    const std::vector<std::vector<Value>>& joint_values,
+    const double* prediction, const KaminoOptions& options,
+    const std::vector<double>& prior_values, Rng* rng) {
   std::vector<Candidate> out;
-  if (unit.kind == ModelUnit::Kind::kHistogram) {
-    if (unit.quantizer.has_value()) {
-      // Numeric histogram: one candidate per bin, valued uniformly within.
-      out.reserve(unit.distribution.size());
-      for (size_t b = 0; b < unit.distribution.size(); ++b) {
-        Candidate c;
-        c.values = {Value::Numeric(
-            unit.quantizer->SampleWithin(static_cast<int>(b), rng))};
-        c.prob = unit.distribution[b];
-        out.push_back(std::move(c));
-      }
-    } else {
-      out.reserve(unit.distribution.size());
-      for (size_t idx = 0; idx < unit.distribution.size(); ++idx) {
-        Candidate c;
-        for (int32_t v : unit.DecodeJointIndex(idx)) {
-          c.values.push_back(Value::Categorical(v));
-        }
-        c.prob = unit.distribution[idx];
-        out.push_back(std::move(c));
-      }
+  const bool histogram = unit.kind == ModelUnit::Kind::kHistogram;
+  if (histogram && unit.quantizer.has_value()) {
+    // Numeric histogram: one candidate per bin, valued uniformly within.
+    out.reserve(unit.distribution.size());
+    for (size_t b = 0; b < unit.distribution.size(); ++b) {
+      Candidate c;
+      c.values = {Value::Numeric(
+          unit.quantizer->SampleWithin(static_cast<int>(b), rng))};
+      c.prob = unit.distribution[b];
+      out.push_back(std::move(c));
     }
     return out;
   }
-
-  // Discriminative unit.
-  const DiscriminativeModel& model = *unit.model;
-  if (model.target_is_categorical()) {
-    std::vector<double> probs = model.PredictCategorical(row);
-    out.reserve(probs.size());
-    for (size_t idx = 0; idx < probs.size(); ++idx) {
-      Candidate c;
-      for (int32_t v : model.DecodeJointIndex(idx)) {
-        c.values.push_back(Value::Categorical(v));
-      }
-      c.prob = probs[idx];
-      out.push_back(std::move(c));
+  if (histogram || unit.model->target_is_categorical()) {
+    // Categorical unit: one candidate per joint value, weighted by the
+    // histogram or by the model's p(v|c).
+    const double* probs = histogram ? unit.distribution.data() : prediction;
+    out.reserve(joint_values.size());
+    for (size_t idx = 0; idx < joint_values.size(); ++idx) {
+      out.push_back({joint_values[idx], probs[idx]});
     }
     return out;
   }
@@ -132,7 +149,8 @@ std::vector<Candidate> GenerateCandidates(const ModelUnit& unit,
   // points (mu, mu +- {0.5, 1, 2} sigma) are added so that at least some
   // candidates cover the distribution's bulk even for small d, which gives
   // the DC factor feasible values to choose from.
-  auto [mu, sigma] = model.PredictGaussian(row);
+  const double mu = prediction[0];
+  double sigma = prediction[1];
   const Attribute& attr = schema.attribute(unit.attrs[0]);
   if (sigma <= 0.0) sigma = 1e-3;
   auto add_candidate = [&](double v) {
@@ -326,14 +344,44 @@ bool FdFastPathApplies(const ModelUnit& unit, const std::vector<size_t>& active,
   return true;
 }
 
+/// One-row inference for the repair passes, whose row's context may have
+/// been rewritten by an earlier unit's repair: the prediction comes from
+/// the row's current cells. Empty for histogram units.
+std::vector<double> PredictOneRow(const ModelUnit& unit, const Row& row,
+                                  SynthesisTelemetry* telemetry) {
+  if (unit.kind != ModelUnit::Kind::kDiscriminative) return {};
+  ++telemetry->forward_rows;
+  ++telemetry->forward_batches;
+  if (unit.model->target_is_categorical()) {
+    return unit.model->PredictCategorical(row);
+  }
+  const auto [mean, stddev] = unit.model->PredictGaussian(row);
+  return {mean, stddev};
+}
+
+/// Runs the inference kernel for `rows` of `table` into `predictions`
+/// (resized to one `prediction_width()` slot per row) and books the call
+/// in the cost ledger.
+void PredictBlock(const DiscriminativeModel& model, const Table& table,
+                  const std::vector<size_t>& rows,
+                  std::vector<double>* predictions,
+                  SynthesisTelemetry* telemetry) {
+  predictions->resize(rows.size() * model.prediction_width());
+  model.PredictRows(table, rows.data(), rows.size(), predictions->data());
+  telemetry->forward_rows += static_cast<int64_t>(rows.size());
+  ++telemetry->forward_batches;
+}
+
 /// Maps every DC to the model unit at which it activates (the unit whose
-/// attributes complete it) and every unit to its active DC set Phi_{A_j}.
-/// Computed once per run; the per-shard sampling loop and the merge pass
-/// must agree on this mapping.
+/// attributes complete it) and every unit to its active DC set Phi_{A_j},
+/// plus every unit's decoded joint domain. Computed once per run; the
+/// per-shard sampling loop and the merge pass must agree on this mapping.
 struct ActivationMap {
   std::vector<std::vector<size_t>> unit_active;  // unit -> active DC indices
   std::vector<size_t> dc_unit;                   // DC -> unit (or SIZE_MAX)
   std::vector<char> pair_scan;                   // DC -> NeedsPairScan
+  /// unit -> DecodeJointDomain(unit)
+  std::vector<std::vector<std::vector<Value>>> unit_values;
 };
 
 ActivationMap BuildActivationMap(
@@ -350,6 +398,7 @@ ActivationMap BuildActivationMap(
   }
   for (size_t u = 0; u < model.units().size(); ++u) {
     const ModelUnit& unit = model.units()[u];
+    map.unit_values.push_back(DecodeJointDomain(unit));
     for (size_t p = unit.start_position;
          p < unit.start_position + unit.attrs.size(); ++p) {
       for (size_t dc_index : active_by_pos[p]) {
@@ -403,6 +452,30 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
     }
     const bool fast_path = options.enable_fd_fast_path && use_dc_factor &&
                            FdFastPathApplies(unit, active, constraints);
+
+    // Inference: every row's context is complete before the unit's row
+    // loop starts, and neither the DC factor nor MCMC rewrites it (both
+    // touch only the unit's own attributes), so p(v|c) is computed a block
+    // of rows at a time, on first use.
+    const DiscriminativeModel* net =
+        unit.kind == ModelUnit::Kind::kDiscriminative ? unit.model.get()
+                                                      : nullptr;
+    const size_t width = net == nullptr ? 0 : net->prediction_width();
+    const std::vector<std::vector<Value>>& joint_values =
+        activation.unit_values[unit_index];
+    std::vector<size_t> block_rows;
+    std::vector<double> predictions;
+    size_t block_end = 0;
+    auto prediction_for = [&](size_t i) -> const double* {
+      if (net == nullptr) return nullptr;
+      if (i >= block_end) {
+        block_end = std::min(n, i + kForwardBlockRows);
+        block_rows.clear();
+        for (size_t r = i; r < block_end; ++r) block_rows.push_back(r);
+        PredictBlock(*net, out, block_rows, &predictions, telemetry);
+      }
+      return &predictions[(i - block_rows.front()) * width];
+    };
 
     // Previously synthesized values of a DC-constrained numeric attribute
     // are recycled as candidates (see GenerateCandidates).
@@ -510,8 +583,9 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
               rng->UniformInt(0, static_cast<int64_t>(prior_values.size()) - 1))]);
         }
       }
-      std::vector<Candidate> candidates = GenerateCandidates(
-          unit, schema, out.row(i), options, extra_values, rng);
+      std::vector<Candidate> candidates =
+          GenerateCandidates(unit, schema, joint_values, prediction_for(i),
+                             options, extra_values, rng);
       if (candidates.empty()) {
         return Status::Internal("no candidates generated for attribute unit");
       }
@@ -610,6 +684,12 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
           resamples[k].row = static_cast<size_t>(
               rng->UniformInt(0, static_cast<int64_t>(n) - 1));
         }
+        std::vector<double> batch_predictions;
+        if (net != nullptr) {
+          std::vector<size_t> picked(batch);
+          for (size_t k = 0; k < batch; ++k) picked[k] = resamples[k].row;
+          PredictBlock(*net, out, picked, &batch_predictions, telemetry);
+        }
         auto resample_range = [&](size_t lo, size_t hi) {
           for (size_t k = lo; k < hi; ++k) {
             Rng task_rng(streams.SubSeed(done + k));
@@ -620,7 +700,9 @@ Status SampleShardRows(const ProbabilisticDataModel& model,
               extra_values = nearest_y_values(scratch);
             }
             std::vector<Candidate> candidates = GenerateCandidates(
-                unit, schema, scratch, options, extra_values, &task_rng);
+                unit, schema, joint_values,
+                net == nullptr ? nullptr : &batch_predictions[k * width],
+                options, extra_values, &task_rng);
             if (candidates.empty()) continue;
             std::vector<double> log_scores(candidates.size());
             for (size_t c = 0; c < candidates.size(); ++c) {
@@ -1033,8 +1115,11 @@ Status ReconcileShards(const ProbabilisticDataModel& model,
         }
       }
 
+      const std::vector<double> prediction =
+          PredictOneRow(unit, scratch, telemetry);
       std::vector<Candidate> candidates = GenerateCandidates(
-          unit, schema, scratch, options, extra_values, &task_rng);
+          unit, schema, activation.unit_values[u], prediction.data(), options,
+          extra_values, &task_rng);
       if (candidates.empty()) continue;
       // Repair is greedy: commit the best-scoring candidate (first index
       // wins ties, so the choice is deterministic) instead of sampling —
@@ -1563,6 +1648,8 @@ Result<Table> ProgressiveShardSynthesis(
     telemetry->parallel_score_dispatches +=
         shards[s].telemetry.parallel_score_dispatches;
     telemetry->mcmc_batches += shards[s].telemetry.mcmc_batches;
+    telemetry->forward_rows += shards[s].telemetry.forward_rows;
+    telemetry->forward_batches += shards[s].telemetry.forward_batches;
 
     // The shard's own indices are the live-slice indices of the repair
     // below: they must hold exactly the live rows.
@@ -1657,8 +1744,11 @@ Result<Table> ProgressiveShardSynthesis(
             }
           }
 
+          const std::vector<double> prediction =
+              PredictOneRow(unit, scratch, telemetry);
           std::vector<Candidate> candidates = GenerateCandidates(
-              unit, schema, scratch, options, extra_values, &task_rng);
+              unit, schema, activation.unit_values[u], prediction.data(),
+              options, extra_values, &task_rng);
           if (candidates.empty()) continue;
           int64_t* const scans = &telemetry->merge_penalty_live_row_scans;
           const double penalty_before = IndexedPenalty(
@@ -1917,6 +2007,8 @@ void RecordSamplerMetrics(const SynthesisTelemetry& t, size_t rows) {
   reg.counter("kamino.sampler.fd_fast_path_hits")
       ->Increment(t.fd_fast_path_hits);
   reg.counter("kamino.sampler.mcmc_resamples")->Increment(t.mcmc_resamples);
+  reg.counter("kamino.sampler.forward_rows")->Increment(t.forward_rows);
+  reg.counter("kamino.sampler.forward_batches")->Increment(t.forward_batches);
   reg.counter("kamino.sampler.merge_cross_violations")
       ->Increment(t.merge_cross_violations);
   reg.counter("kamino.sampler.merge_conflict_rows")
@@ -2035,6 +2127,8 @@ Result<Table> Synthesize(const ProbabilisticDataModel& model,
     telemetry->parallel_score_dispatches +=
         shard.telemetry.parallel_score_dispatches;
     telemetry->mcmc_batches += shard.telemetry.mcmc_batches;
+    telemetry->forward_rows += shard.telemetry.forward_rows;
+    telemetry->forward_batches += shard.telemetry.forward_batches;
   }
 
   {

@@ -89,6 +89,15 @@ struct SynthesisTelemetry {
   int64_t parallel_score_dispatches = 0;
   /// Row batches executed by the parallel MCMC pass.
   int64_t mcmc_batches = 0;
+  /// Rows predicted by the discriminative inference kernel (the cost
+  /// ledger's forward passes): one per discriminative unit per sampled row
+  /// (less any forward block the FD fast path skipped whole), plus one per
+  /// MCMC pick on a discriminative unit, plus one per merge repair of one.
+  int64_t forward_rows = 0;
+  /// Inference kernel calls those rows were batched into: one per forward
+  /// block (up to 256 rows) of the sampling loop, one per MCMC batch on a
+  /// discriminative unit, one per repair.
+  int64_t forward_batches = 0;
 
   // --- Shard-parallel synthesis (resolved num_shards > 1) ---
   /// Shards the run was partitioned into (resolved; >= 1).

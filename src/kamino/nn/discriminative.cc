@@ -1,5 +1,6 @@
 #include "kamino/nn/discriminative.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kamino/common/logging.h"
@@ -157,39 +158,159 @@ Var DiscriminativeModel::Loss(const Row& row, ForwardContext* ctx) const {
   return GaussianNll(out, enc->Standardize(row[targets_[0]].numeric()));
 }
 
+namespace {
+
+/// out[0..p) = a[0..k) x b (k x p, row-major), the graph's `MatMul` for a
+/// 1 x k left operand: every output starts at 0.0 and takes its products in
+/// k order, skipping zero multipliers.
+void VecMat(const double* a, const double* b, size_t k, size_t p,
+            double* out) {
+  std::fill(out, out + p, 0.0);
+  for (size_t j = 0; j < k; ++j) {
+    const double aj = a[j];
+    if (aj == 0.0) continue;
+    const double* b_row = b + j * p;
+    for (size_t l = 0; l < p; ++l) out[l] += aj * b_row[l];
+  }
+}
+
+/// In-place softmax of v[0..size) in the two passes of the graph's
+/// `Softmax`: max, then exponentials and their sum, then the division.
+void SoftmaxInPlace(double* v, size_t size) {
+  double mx = v[0];
+  for (size_t i = 1; i < size; ++i) mx = std::max(mx, v[i]);
+  double sum = 0.0;
+  for (size_t i = 0; i < size; ++i) {
+    v[i] = std::exp(v[i] - mx);
+    sum += v[i];
+  }
+  for (size_t i = 0; i < size; ++i) v[i] /= sum;
+}
+
+}  // namespace
+
+void DiscriminativeModel::Forward(const ContextColumn* columns,
+                                  const size_t* rows, size_t count,
+                                  double* out) const {
+  const size_t d = store_->embed_dim();
+  const size_t m = context_.size();
+  const size_t width = prediction_width();
+  const size_t head_dim = w2_->value.cols();
+  const double* query = query_->value.data().data();
+  const double* w1 = w1_->value.data().data();
+  const double* b1 = b1_->value.data().data();
+  const double* w2 = w2_->value.data().data();
+  const double* b2 = b2_->value.data().data();
+  std::vector<const AttributeEncoder*> encoders(m);
+  for (size_t i = 0; i < m; ++i) encoders[i] = store_->encoder(context_[i]);
+
+  // One scratch block per call: keys (m x d), then the per-row vectors.
+  std::vector<double> scratch(m * d + m + 3 * d + 2);
+  double* keys = scratch.data();
+  double* alpha = keys + m * d;
+  double* hidden = alpha + m;
+  double* context_vec = hidden + d;
+  double* h = context_vec + d;
+  double* gaussian = h + d;  // (mu, s) of a numeric head
+
+  for (size_t k = 0; k < count; ++k) {
+    const size_t r = rows[k];
+    for (size_t i = 0; i < m; ++i) {
+      if (columns[i].codes != nullptr) {
+        encoders[i]->EncodeCategoryInto(columns[i].codes[r], keys + i * d);
+      } else {
+        encoders[i]->EncodeNumericInto(columns[i].nums[r], hidden,
+                                       keys + i * d);
+      }
+    }
+    // alpha = Softmax(MatMul(q, Transpose(keys))): score i sums
+    // q[j] * keys[i][j] over j in order, skipping zero q[j].
+    std::fill(alpha, alpha + m, 0.0);
+    for (size_t j = 0; j < d; ++j) {
+      const double qj = query[j];
+      if (qj == 0.0) continue;
+      for (size_t i = 0; i < m; ++i) alpha[i] += qj * keys[i * d + j];
+    }
+    SoftmaxInPlace(alpha, m);
+    VecMat(alpha, keys, m, d, context_vec);
+    // h = Relu(Add(MatMul(context_vec, w1), b1)).
+    VecMat(context_vec, w1, d, d, h);
+    for (size_t l = 0; l < d; ++l) h[l] += b1[l];
+    for (size_t l = 0; l < d; ++l) h[l] = std::max(0.0, h[l]);
+    // Add(MatMul(h, w2), b2): logits, or (mu, s).
+    double* row_out = out + k * width;
+    double* head = target_is_categorical_ ? row_out : gaussian;
+    VecMat(h, w2, d, head_dim, head);
+    for (size_t l = 0; l < head_dim; ++l) head[l] += b2[l];
+    if (target_is_categorical_) {
+      SoftmaxInPlace(row_out, width);
+    } else {
+      const double sigma = GaussianSigma(gaussian[1]);
+      const AttributeEncoder* enc = store_->encoder(targets_[0]);
+      // Destandardize: shift/scale the mean, scale the stddev.
+      row_out[0] = enc->Destandardize(gaussian[0]);
+      row_out[1] = std::abs(
+          sigma * (enc->Destandardize(1.0) - enc->Destandardize(0.0)));
+    }
+  }
+}
+
+void DiscriminativeModel::PredictRows(const Table& table, const size_t* rows,
+                                      size_t count, double* out) const {
+  for (size_t k = 0; k < count; ++k) {
+    KAMINO_CHECK(rows[k] < table.num_rows()) << "row index out of range";
+  }
+  std::vector<ContextColumn> columns(context_.size());
+  for (size_t i = 0; i < context_.size(); ++i) {
+    const Column& column = table.columns().column(context_[i]);
+    KAMINO_CHECK(column.is_categorical() ==
+                 store_->encoder(context_[i])->is_categorical())
+        << "context column type does not match its encoder";
+    if (column.is_categorical()) {
+      columns[i].codes = column.codes().data();
+    } else {
+      columns[i].nums = column.nums().data();
+    }
+  }
+  Forward(columns.data(), rows, count, out);
+}
+
+void DiscriminativeModel::ForwardRow(const Row& row, double* out) const {
+  // Each context attribute becomes a one-cell column read at row 0.
+  const size_t m = context_.size();
+  std::vector<int32_t> codes(m);
+  std::vector<double> nums(m);
+  std::vector<ContextColumn> columns(m);
+  for (size_t i = 0; i < m; ++i) {
+    const Value& v = row[context_[i]];
+    if (store_->encoder(context_[i])->is_categorical()) {
+      KAMINO_CHECK(v.is_categorical()) << "categorical encoder got numeric";
+      codes[i] = v.category();
+      columns[i].codes = &codes[i];
+    } else {
+      KAMINO_CHECK(v.is_numeric()) << "numeric encoder got categorical";
+      nums[i] = v.numeric();
+      columns[i].nums = &nums[i];
+    }
+  }
+  const size_t first = 0;
+  Forward(columns.data(), &first, 1, out);
+}
+
 std::vector<double> DiscriminativeModel::PredictCategorical(
     const Row& row) const {
   KAMINO_CHECK(target_is_categorical_) << "target is numeric";
-  ForwardContext ctx;
-  Var out = Output(row, &ctx);
-  // Softmax over logits (inference only, no gradient machinery needed).
-  const Tensor& logits = out->value;
-  std::vector<double> probs(logits.cols());
-  double mx = logits[0];
-  for (size_t i = 1; i < probs.size(); ++i) mx = std::max(mx, logits[i]);
-  double sum = 0.0;
-  for (size_t i = 0; i < probs.size(); ++i) {
-    probs[i] = std::exp(logits[i] - mx);
-    sum += probs[i];
-  }
-  for (double& p : probs) p /= sum;
+  std::vector<double> probs(prediction_width());
+  ForwardRow(row, probs.data());
   return probs;
 }
 
 std::pair<double, double> DiscriminativeModel::PredictGaussian(
     const Row& row) const {
   KAMINO_CHECK(!target_is_categorical_) << "target is categorical";
-  ForwardContext ctx;
-  Var out = Output(row, &ctx);
-  const double mu = out->value[0];
-  const double s = out->value[1];
-  const double sigma = (s > 30.0 ? s : std::log1p(std::exp(s))) + 1e-3;
-  const AttributeEncoder* enc = store_->encoder(targets_[0]);
-  // Destandardize: shift/scale the mean, scale the stddev.
-  const double mean = enc->Destandardize(mu);
-  const double stddev =
-      sigma * (enc->Destandardize(1.0) - enc->Destandardize(0.0));
-  return {mean, std::abs(stddev)};
+  double mean_stddev[2];
+  ForwardRow(row, mean_stddev);
+  return {mean_stddev[0], mean_stddev[1]};
 }
 
 std::vector<Parameter*> DiscriminativeModel::Parameters() {

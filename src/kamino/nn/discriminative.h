@@ -28,6 +28,15 @@ namespace kamino {
 ///  - one or more categorical attributes: a softmax-cross-entropy head over
 ///    the *joint* domain (the product of the member domains). A multi-
 ///    attribute target is the hyper-attribute grouping of section 4.3.
+///
+/// Training and inference take separate paths through the same weights.
+/// `Loss` builds the per-example autograd graph that DP-SGD differentiates;
+/// it is the only caller of that graph. Inference (`PredictRows` and the
+/// one-row `Predict*` wrappers over it) is a forward-only kernel over
+/// plain buffers: no graph nodes, and context values read straight from a
+/// table's typed columns. The kernel repeats the graph's rounded operations
+/// in the graph's order, so a prediction is bit-identical to the softmax
+/// (or Gaussian head) of the graph's output.
 class DiscriminativeModel {
  public:
   /// `store` supplies (and shares) the per-attribute encoders; it must
@@ -49,12 +58,28 @@ class DiscriminativeModel {
   /// loss; `ctx` records the parameter bindings for gradient extraction.
   Var Loss(const Row& row, ForwardContext* ctx) const;
 
-  /// Conditional distribution over the (joint) categorical target domain
-  /// given the row's context attributes. Requires a categorical target.
+  /// Inference kernel: for each of the `count` rows `rows[k]` of `table`,
+  /// writes the row's prediction to `out[k * prediction_width() ...]`:
+  /// p(v | c) over the joint categorical domain, or the Gaussian (mean,
+  /// stddev) of a numeric target in value space. Reads only the context
+  /// columns. Holds no scratch between calls, so concurrent calls on one
+  /// model are safe.
+  void PredictRows(const Table& table, const size_t* rows, size_t count,
+                   double* out) const;
+
+  /// Doubles per row written by `PredictRows`: the joint domain size for a
+  /// categorical target, 2 for a numeric one.
+  size_t prediction_width() const {
+    return target_is_categorical_ ? out_dim_categorical_ : 2;
+  }
+
+  /// One-row `PredictRows` over a materialized row: the conditional
+  /// distribution over the (joint) categorical target domain given the
+  /// row's context attributes. Requires a categorical target.
   std::vector<double> PredictCategorical(const Row& row) const;
 
-  /// Gaussian (mean, stddev) for a numeric target in the original value
-  /// space. Requires a numeric target.
+  /// One-row `PredictRows`: Gaussian (mean, stddev) for a numeric target
+  /// in the original value space. Requires a numeric target.
   std::pair<double, double> PredictGaussian(const Row& row) const;
 
   /// Every trainable parameter: shared context encoders plus the
@@ -81,7 +106,24 @@ class DiscriminativeModel {
   Status ImportHeadTensors(const std::vector<Tensor>& values, size_t* pos);
 
  private:
+  /// Where one context attribute's values live: a code array for a
+  /// categorical attribute, a numeric array otherwise, indexed by row.
+  struct ContextColumn {
+    const int32_t* codes = nullptr;
+    const double* nums = nullptr;
+  };
+
+  /// The training graph's output (logits, or (mu, s)); reached only from
+  /// `Loss`.
   Var Output(const Row& row, ForwardContext* ctx) const;
+
+  /// The inference kernel behind `PredictRows` and the one-row wrappers:
+  /// `columns` is aligned with `context_`, and row `rows[k]` of every
+  /// column feeds output slot k.
+  void Forward(const ContextColumn* columns, const size_t* rows, size_t count,
+               double* out) const;
+  /// One-row `Forward` over a materialized row's context cells.
+  void ForwardRow(const Row& row, double* out) const;
 
   const Schema* schema_;
   std::vector<size_t> context_;

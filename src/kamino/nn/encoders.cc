@@ -1,5 +1,6 @@
 #include "kamino/nn/encoders.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kamino/common/logging.h"
@@ -45,6 +46,40 @@ Var AttributeEncoder::Encode(const Value& v, ForwardContext* ctx) const {
   Var d = ctx->Bind(num_d_.get());
   Var hidden = Relu(Add(Scale(a, x), c));          // 1 x d
   return Add(MatMul(hidden, b), d);                // 1 x d
+}
+
+void AttributeEncoder::EncodeCategoryInto(int32_t code, double* out) const {
+  KAMINO_CHECK(is_categorical_) << "numeric encoder got categorical";
+  const Tensor& table = lookup_->value;
+  KAMINO_CHECK(code >= 0 && static_cast<size_t>(code) < table.rows())
+      << "category code out of range";
+  const double* src = &table.data()[static_cast<size_t>(code) * embed_dim_];
+  std::copy(src, src + embed_dim_, out);
+}
+
+void AttributeEncoder::EncodeNumericInto(double value, double* hidden,
+                                         double* out) const {
+  KAMINO_CHECK(!is_categorical_) << "categorical encoder got numeric";
+  const size_t d = embed_dim_;
+  const double x = Standardize(value);
+  const double* a = num_a_->value.data().data();
+  const double* c = num_c_->value.data().data();
+  const double* b = num_b_->value.data().data();
+  const double* bias = num_d_->value.data().data();
+  // Relu(Add(Scale(a, x), c)), one op per pass like the graph.
+  for (size_t j = 0; j < d; ++j) hidden[j] = a[j] * x;
+  for (size_t j = 0; j < d; ++j) hidden[j] += c[j];
+  for (size_t j = 0; j < d; ++j) hidden[j] = std::max(0.0, hidden[j]);
+  // Add(MatMul(hidden, b), d): per output, products summed in k order
+  // from 0.0, skipping zero multipliers, then the bias.
+  std::fill(out, out + d, 0.0);
+  for (size_t j = 0; j < d; ++j) {
+    const double hj = hidden[j];
+    if (hj == 0.0) continue;
+    const double* b_row = b + j * d;
+    for (size_t l = 0; l < d; ++l) out[l] += hj * b_row[l];
+  }
+  for (size_t l = 0; l < d; ++l) out[l] += bias[l];
 }
 
 std::vector<Parameter*> AttributeEncoder::Parameters() {

@@ -23,6 +23,14 @@ class AttributeEncoder {
   /// Embeds `v` as a 1 x d vector, binding parameters through `ctx`.
   Var Encode(const Value& v, ForwardContext* ctx) const;
 
+  /// Forward-only forms of `Encode` for inference: write the 1 x d
+  /// embedding of a category code (categorical encoders) or of a raw
+  /// numeric value (numeric encoders; `hidden` is d doubles of caller
+  /// scratch) into `out`, through the same rounded operations as the
+  /// graph, so the values are bit-identical to `Encode`'s.
+  void EncodeCategoryInto(int32_t code, double* out) const;
+  void EncodeNumericInto(double value, double* hidden, double* out) const;
+
   /// All trainable tensors of this encoder.
   std::vector<Parameter*> Parameters();
 

@@ -1,10 +1,15 @@
-// Output pins for every sampler path that calls discriminative inference:
-// the row loop over several forward blocks (with a partial last block)
-// plus MCMC, accept-reject, the progressive out-of-core freeze repair,
-// the global shard merge, and soft DCs with joint hyper-attribute heads.
-// Each digest was captured from the autograd-graph inference path before
-// the forward-only kernel replaced it; the kernel must reproduce every
-// one bit for bit.
+// The sampler's use of discriminative inference.
+//
+// Output pins for every sampler path that calls it: the row loop over
+// several forward blocks (with a partial last block) plus MCMC,
+// accept-reject, the progressive out-of-core freeze repair, the global
+// shard merge, and soft DCs with joint hyper-attribute heads. Each digest
+// was captured from the autograd-graph inference path before the
+// forward-only kernel replaced it; the kernel must reproduce every one bit
+// for bit.
+//
+// Then the forward-pass cost ledger (exact, machine-independent counts)
+// and thread-count independence of a 1-shard MCMC run.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +20,7 @@
 #include "kamino/core/kamino.h"
 #include "kamino/core/sequencing.h"
 #include "kamino/data/generators.h"
+#include "kamino/obs/metrics.h"
 #include "kamino/runtime/thread_pool.h"
 
 namespace kamino {
@@ -161,6 +167,56 @@ TEST(InferencePinTest, SoftDcsJointHeadsAndMcmc) {
   EXPECT_EQ(result.telemetry.mcmc_resamples,
             static_cast<int64_t>(300 * units.size()));
   EXPECT_EQ(TableDigest(result.synthetic), "0x81f0800010732656");
+}
+
+TEST(ForwardLedgerTest, ExactCountsOnSingleShardMcmcRun) {
+  // Per discriminative unit: 700 rows in forward blocks of 256, 256 and
+  // 188, then 70 MCMC picks in batches of 32, 32 and 6.
+  ScopedNumThreads threads(1);
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Global();
+  const bool was_enabled = metrics.enabled();
+  metrics.SetEnabled(true);
+  const int64_t rows_before =
+      metrics.counter("kamino.sampler.forward_rows")->Value();
+  const int64_t batches_before =
+      metrics.counter("kamino.sampler.forward_batches")->Value();
+  KaminoOptions options = PinOptions();
+  options.mcmc_resamples = 70;
+  ProbabilisticDataModel model;
+  PinRun run = TrainAndSynthesize(MakeAdultLike(200, 3), options, 700, &model);
+  metrics.SetEnabled(was_enabled);
+
+  const int64_t units =
+      static_cast<int64_t>(model.num_discriminative_units());
+  ASSERT_GT(units, 0);
+  EXPECT_EQ(run.telemetry.forward_rows, units * 700 + units * 70);
+  EXPECT_EQ(run.telemetry.forward_batches, units * 3 + units * 3);
+  EXPECT_EQ(metrics.counter("kamino.sampler.forward_rows")->Value() -
+                rows_before,
+            run.telemetry.forward_rows);
+  EXPECT_EQ(metrics.counter("kamino.sampler.forward_batches")->Value() -
+                batches_before,
+            run.telemetry.forward_batches);
+}
+
+TEST(ForwardLedgerTest, SingleShardMcmcSameOutputAtOneAndFourThreads) {
+  // At 4 threads the MCMC batches and candidate scoring run on pool
+  // workers; the predictions they read must not depend on that.
+  BenchmarkDataset ds = MakeAdultLike(200, 3);
+  KaminoOptions options = PinOptions();
+  options.mcmc_resamples = 70;
+  std::string digests[2];
+  int64_t forward_rows[2];
+  for (const size_t num_threads : {size_t{1}, size_t{4}}) {
+    ScopedNumThreads threads(num_threads);
+    ProbabilisticDataModel model;
+    PinRun run = TrainAndSynthesize(ds, options, 700, &model);
+    digests[num_threads == 4] = TableDigest(run.out);
+    forward_rows[num_threads == 4] = run.telemetry.forward_rows;
+  }
+  EXPECT_EQ(digests[0], digests[1]);
+  EXPECT_EQ(digests[0], "0x90cf315c24071554");
+  EXPECT_EQ(forward_rows[0], forward_rows[1]);
 }
 
 }  // namespace
