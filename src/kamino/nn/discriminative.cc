@@ -201,8 +201,6 @@ void DiscriminativeModel::Forward(const ContextColumn* columns,
   const double* b1 = b1_->value.data().data();
   const double* w2 = w2_->value.data().data();
   const double* b2 = b2_->value.data().data();
-  std::vector<const AttributeEncoder*> encoders(m);
-  for (size_t i = 0; i < m; ++i) encoders[i] = store_->encoder(context_[i]);
 
   // One scratch block per call: keys (m x d), then the per-row vectors.
   std::vector<double> scratch(m * d + m + 3 * d + 2);
@@ -216,11 +214,11 @@ void DiscriminativeModel::Forward(const ContextColumn* columns,
   for (size_t k = 0; k < count; ++k) {
     const size_t r = rows[k];
     for (size_t i = 0; i < m; ++i) {
+      const AttributeEncoder* enc = store_->encoder(context_[i]);
       if (columns[i].codes != nullptr) {
-        encoders[i]->EncodeCategoryInto(columns[i].codes[r], keys + i * d);
+        enc->EncodeCategoryInto(columns[i].codes[r], keys + i * d);
       } else {
-        encoders[i]->EncodeNumericInto(columns[i].nums[r], hidden,
-                                       keys + i * d);
+        enc->EncodeNumericInto(columns[i].nums[r], hidden, keys + i * d);
       }
     }
     // alpha = Softmax(MatMul(q, Transpose(keys))): score i sums
